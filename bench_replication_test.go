@@ -93,8 +93,9 @@ func openReplBenchNode(t *testing.T, opts Options) replBenchNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := db.Serve(l)
-	t.Cleanup(func() { srv.Close() })
+	gw := db.NewGateway(GatewayOptions{})
+	t.Cleanup(func() { gw.Close() })
+	go gw.ServeStream(l)
 	return replBenchNode{db: db, addr: l.Addr().String()}
 }
 
@@ -113,7 +114,7 @@ func replBenchPhaseRun(t *testing.T, nodes []replBenchNode, refs []ObjectRef, wr
 			started.Add(1)
 			go func(ni, ci int) {
 				defer wg.Done()
-				c, err := client.Dial(nodes[ni].addr)
+				c, err := client.DialStream(nodes[ni].addr)
 				if err != nil {
 					t.Errorf("dial node %d: %v", ni, err)
 					started.Done()
@@ -129,7 +130,7 @@ func replBenchPhaseRun(t *testing.T, nodes []replBenchNode, refs []ObjectRef, wr
 				started.Done()
 				// Deterministic per-session object walk; co-prime stride so
 				// sessions spread over the working set. One full-object
-				// buffer per session: a read is a single raw-extent RPC, so
+				// buffer per session: a read is a single raw-extent stream, so
 				// per-op CPU stays small next to the device latency.
 				buf := make([]byte, replBenchObjBytes)
 				idx := (ni*replBenchClients + ci) % len(refs)

@@ -275,7 +275,7 @@ func BenchmarkCompressTight(b *testing.B) {
 }
 
 // BenchmarkRemoteReadWireRatio measures §3's network claim end to end: a
-// client streams a 50 %-compressible object from an in-process server and
+// client streams a 50 %-compressible object from an in-process gateway and
 // the benchmark reports wire bytes per logical byte for the just-in-time
 // (client-decompress) path vs. the server-side-conversion path.
 func BenchmarkRemoteReadWireRatio(b *testing.B) {
@@ -284,8 +284,9 @@ func BenchmarkRemoteReadWireRatio(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := db.Serve(l)
-	defer srv.Close()
+	gw := db.NewGateway(GatewayOptions{})
+	defer gw.Close()
+	go gw.ServeStream(l)
 
 	const logical = 1 << 20
 	var ref ObjectRef
@@ -302,7 +303,7 @@ func BenchmarkRemoteReadWireRatio(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	c, err := client.Dial(l.Addr().String())
+	c, err := client.DialStream(l.Addr().String())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -36,6 +36,12 @@
 #                                  prefetch path (post, fill, install) is
 #                                  exercised end to end on every run
 #
+#   6b. examples/remoteaccess      the §3 client-server example run end to
+#                                  end over the v2 stream protocol: a
+#                                  remote query plus a compressed object
+#                                  read decompressed at the client, with
+#                                  its wire/logical byte ratio printed
+#
 #   7. FuzzWALDecode smoke         a short native-fuzz run of the WAL record
 #                                  decoder over the checked-in corpus, so a
 #                                  framing regression fails fast
@@ -105,11 +111,12 @@
 #                                  fails unless group commit wins at 8-way
 #
 #  11. (BENCH=1 only)              the edge throughput harness: streaming
-#                                  v2 vs whole-buffer v1 reads at 1/8/64
-#                                  clients. Rewrites
-#                                  BENCH_edge_throughput.json and fails
-#                                  unless streaming wins 2x at 8 clients
-#                                  with bounded p99
+#                                  v2 reads at 1/8/64 clients. Rewrites
+#                                  BENCH_edge_throughput.json (carrying
+#                                  its frozen historical_v1 block through)
+#                                  and fails unless v2 at 8 clients reaches
+#                                  2x that block's 8-client cell with
+#                                  bounded p99
 #
 #  12. (BENCH=1 only)              the replication scale-out harness:
 #                                  aggregate snapshot-read throughput at
@@ -163,6 +170,9 @@ go test -run '^$' -bench BenchmarkConcurrentRead -benchtime=1x .
 
 echo "== BenchmarkScanPrefetch smoke (-benchtime=1x)"
 go test -run '^$' -bench BenchmarkScanPrefetch -benchtime=1x .
+
+echo "== examples/remoteaccess smoke"
+go run ./examples/remoteaccess
 
 echo "== FuzzWALDecode smoke (-fuzztime=200x)"
 go test -run '^$' -fuzz '^FuzzWALDecode$' -fuzztime 200x ./internal/wal

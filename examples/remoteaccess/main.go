@@ -34,8 +34,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := db.Serve(l)
-	defer srv.Close()
+	gw := db.NewGateway(postlob.GatewayOptions{})
+	defer gw.Close()
+	go gw.ServeStream(l)
 	fmt.Printf("server listening on %s\n", l.Addr())
 
 	// Load a compressed satellite image (§3's example workload).
@@ -60,7 +61,7 @@ func main() {
 	}
 
 	// Client side: query for the object, then stream it.
-	c, err := client.Dial(l.Addr().String())
+	c, err := client.DialStream(l.Addr().String())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -95,7 +96,11 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+	wire := c.WireBytesIn()
 	fmt.Printf("streamed %d logical bytes; %d bytes crossed the network (%.0f%%)\n",
-		total, c.WireBytesIn(), 100*float64(c.WireBytesIn())/float64(total))
+		total, wire, 100*float64(wire)/float64(total))
+	if total != logical || wire >= total {
+		log.Fatalf("expected %d logical bytes over fewer wire bytes, got %d over %d", logical, total, wire)
+	}
 	fmt.Println("the client did the decompression — just-in-time conversion (§3)")
 }

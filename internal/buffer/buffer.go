@@ -669,8 +669,16 @@ func (p *Pool) evict() (*Frame, error) {
 			return f, nil
 		}
 	}
-	const rounds = 4
-	for r := 0; r < rounds; r++ {
+	// A scan can come up empty while every frame is pinned only for a
+	// moment: by a concurrent eviction's or a background batch's write-back
+	// (a private pin held across one device write) or by callers between
+	// Get and Release. That shortage passes on its own, so keep scanning,
+	// backing off, and report exhaustion only when no frame came free
+	// within evictWaitLimit. The wait stays bounded because a write-back
+	// can be stuck behind a content latch the caller itself holds.
+	var deadline time.Time
+	backoff := time.Microsecond
+	for {
 		start := p.evictHand.Add(1)
 		for i := range p.parts {
 			part := p.parts[(start+uint64(i))&p.partMask]
@@ -686,9 +694,23 @@ func (p *Pool) evict() (*Frame, error) {
 		if f := p.takeFree(); f != nil {
 			return f, nil
 		}
+		now := time.Now()
+		if deadline.IsZero() {
+			deadline = now.Add(evictWaitLimit)
+		} else if now.After(deadline) {
+			break
+		}
+		time.Sleep(backoff)
+		if backoff < 100*time.Microsecond {
+			backoff *= 2
+		}
 	}
 	return nil, fmt.Errorf("%w (%d frames)", ErrPoolExhausted, p.cap)
 }
+
+// evictWaitLimit bounds how long evict waits for a pinned frame to come
+// free before it reports ErrPoolExhausted.
+const evictWaitLimit = 10 * time.Millisecond
 
 // evictFrom tries to reclaim one partition's LRU victim. A clean victim is
 // removed immediately; a dirty one stays resident — privately pinned and

@@ -1,10 +1,15 @@
-// This file is the v2 streaming client: the same application surface as
-// Client, but over the gateway's chunked pipelined protocol. Requests
-// multiplex over one connection — each call runs on its own stream, so
-// goroutines pipeline freely — and large-object reads decompress raw
-// extents as the chunk frames arrive instead of staging whole buffers
-// anywhere.
-
+// Package client is the remote application library: POSTQUEL over the
+// gateway's v2 wire protocol, plus file-oriented large-object handles
+// whose reads fetch stored compressed extents and decompress locally — the
+// just-in-time, client-side output conversion of paper §3. For
+// compressible data this moves ~30–50 % fewer bytes over the network than
+// server-side reads, which is "crucial to good performance in wide-area
+// networks".
+//
+// Requests multiplex over one connection — each call runs on its own
+// stream, so goroutines pipeline freely — and large-object reads
+// decompress raw extents as the chunk frames arrive instead of staging
+// whole buffers anywhere.
 package client
 
 import (
@@ -116,9 +121,10 @@ func (s *Stream) Close() error {
 	return err
 }
 
-// WireBytesIn reports encoded extent payload bytes received by raw
-// streaming reads — the compressed-transfer metric, mirroring
-// Client.WireBytesIn.
+// WireBytesIn reports the large-object payload bytes that crossed the
+// network into this connection's reads: encoded (compressed) extent bytes
+// for raw reads, decoded bytes for server-side reads. Against LOBBytesIn
+// it is the compressed-transfer ratio of §3.
 func (s *Stream) WireBytesIn() int64 { return s.wireBytesIn.Load() }
 
 // LOBBytesIn reports logical large-object bytes assembled by this
@@ -310,6 +316,21 @@ func (s *Stream) Now() (txn.TS, error) {
 		return txn.InvalidTS, err
 	}
 	return r.TS, nil
+}
+
+// Result is a remote query result.
+type Result struct {
+	Columns   []string
+	Rows      [][]adt.Value
+	UsedIndex string
+}
+
+// First returns the first value of the first row.
+func (r *Result) First() (adt.Value, bool) {
+	if len(r.Rows) == 0 || len(r.Rows[0]) == 0 {
+		return adt.Null(), false
+	}
+	return r.Rows[0][0], true
 }
 
 // Exec runs one statement in the connection's transaction.

@@ -67,6 +67,10 @@ type Object interface {
 	Ref() adt.ObjectRef
 	// Truncate cuts the object to length n (not supported by AsOf handles).
 	Truncate(n int64) error
+	// Flush writes the handle's buffered state (its cached chunk, its size
+	// record) into the transaction without closing it, so a view of the
+	// object opened elsewhere in the same transaction sees every write.
+	Flush() error
 }
 
 // Store manages large objects: creation, opening, deletion, temporaries.

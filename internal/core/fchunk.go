@@ -535,19 +535,25 @@ func (o *fchunkObject) Truncate(n int64) error {
 	return nil
 }
 
+// Flush implements Object.
+func (o *fchunkObject) Flush() error {
+	if o.closed || o.snap.Historical() {
+		return nil
+	}
+	if err := o.flushChunk(); err != nil {
+		return err
+	}
+	return o.flushSize()
+}
+
 // Close flushes buffered state. The handle must be closed before the
 // transaction commits for buffered writes to be part of it.
 func (o *fchunkObject) Close() error {
 	if o.closed {
 		return nil
 	}
-	if !o.snap.Historical() {
-		if err := o.flushChunk(); err != nil {
-			return err
-		}
-		if err := o.flushSize(); err != nil {
-			return err
-		}
+	if err := o.Flush(); err != nil {
+		return err
 	}
 	o.closed = true
 	return nil

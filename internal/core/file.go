@@ -118,6 +118,10 @@ func (o *fileObject) Truncate(n int64) error {
 	return o.f.Truncate(n)
 }
 
+// Flush implements Object. Writes go straight to the file, so there is
+// nothing buffered to flush.
+func (o *fileObject) Flush() error { return nil }
+
 // Close implements io.Closer.
 func (o *fileObject) Close() error {
 	if o.closed {

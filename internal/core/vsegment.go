@@ -634,6 +634,18 @@ func (o *vsegmentObject) flushSize() error {
 	return nil
 }
 
+// Flush implements Object: the size record and the byte store's cached
+// chunk.
+func (o *vsegmentObject) Flush() error {
+	if o.closed || o.snap.Historical() {
+		return nil
+	}
+	if err := o.flushSize(); err != nil {
+		return err
+	}
+	return o.bytes.Flush()
+}
+
 // Close flushes the size record and the underlying byte store handle.
 func (o *vsegmentObject) Close() error {
 	if o.closed {

@@ -64,7 +64,7 @@ type Gateway struct {
 }
 
 // New builds a gateway over a store. Queries run through a dedicated
-// engine sharing the store's catalog and registry, like the v1 server.
+// engine sharing the store's catalog and registry.
 func New(store *core.Store, opts Options) *Gateway {
 	if opts.Chunk <= 0 {
 		opts.Chunk = DefaultChunk
@@ -267,7 +267,9 @@ func (g *Gateway) pumpChunks(chunkSize int, off, end int64, fetch func(off, n in
 }
 
 // clampRange resolves a requested [off, off+n) against an object size:
-// the logical range actually served. n < 0 means "to the end".
+// the logical range actually served. n < 0 means "to the end". n is
+// compared against the bytes left rather than added to off, so a huge
+// peer-supplied n cannot overflow into a negative range.
 func clampRange(off, n, size int64) (int64, int64) {
 	if off < 0 {
 		off = 0
@@ -276,7 +278,7 @@ func clampRange(off, n, size int64) (int64, int64) {
 		off = size
 	}
 	end := size
-	if n >= 0 && off+n < end {
+	if n >= 0 && n < end-off {
 		end = off + n
 	}
 	return off, end

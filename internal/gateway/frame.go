@@ -1,18 +1,18 @@
 // Package gateway is the streaming multi-protocol front door: one
 // chunk-granular streaming core under two network frontends.
 //
-// The v2 wire protocol replaces internal/wire's whole-buffer gob
-// request/response with length-prefixed CRC-framed chunks carrying
-// per-connection multiplexed streams: a client pipelines requests without
-// waiting for responses, large-object reads and writes move in
-// chunk-granular frames (the server touches O(chunk-window) memory per
-// connection, never the whole object), and a bounded per-stream credit
-// window gives end-to-end backpressure. The HTTP frontend exposes the same
-// core as an S3-style object store over the Inversion file system.
+// The v2 wire protocol is the one client protocol: length-prefixed
+// CRC-framed chunks carrying per-connection multiplexed streams. A client
+// pipelines requests without waiting for responses, large-object reads and
+// writes move in chunk-granular frames (the server touches
+// O(chunk-window) memory per connection, never the whole object), and a
+// bounded per-stream credit window gives end-to-end backpressure. The HTTP
+// frontend exposes the same core as an S3-style object store over the
+// Inversion file system.
 //
-// The design point carried from the paper (§3) still holds: raw reads ship
-// stored compressed extents and the *client* decompresses just in time —
-// but now extents stream as they are fetched instead of staging the whole
+// The design point carried from the paper (§3) holds: raw reads ship
+// stored compressed extents and the *client* decompresses just in time,
+// and the extents stream as they are fetched instead of staging the whole
 // range on the server first.
 package gateway
 
@@ -23,8 +23,9 @@ import (
 	"io"
 )
 
-// Proto is the streaming protocol version exchanged in Hello frames. The
-// v1 protocol (internal/wire) has no version field; v2 starts at 2.
+// Proto is the streaming protocol version exchanged in Hello frames. It
+// starts at 2: version 1 was an earlier whole-buffer gob protocol with no
+// version field, since removed.
 const Proto = 2
 
 // Frame kinds.

@@ -676,6 +676,13 @@ func (sess *session) serveRead(it *reqItem, sw obs.Stopwatch) bool {
 		c.respond(it.stream, failResp("bad handle %d", req.Handle))
 		return false
 	}
+	// The read opens its own view of the object in the handle's
+	// transaction; push the handle's buffered writes into the transaction
+	// first so the reader sees them.
+	if err := h.obj.Flush(); err != nil {
+		c.respond(it.stream, failResp("flush: %v", err))
+		return false
+	}
 	size, err := h.obj.Size()
 	if err != nil {
 		c.respond(it.stream, failResp("size: %v", err))

@@ -532,10 +532,18 @@ func (r *Relation) FetchSnap(snap txn.Snapshot, tid TID) ([]byte, error) {
 // mutator of the very page they inspect. Visibility checks on this path
 // never write hint bits (only exclusive-latch holders may) and resolve
 // transaction outcomes through the manager's lock-free table.
+//
+// A TID past the relation's end names no tuple, exactly like a vacant slot.
+// Crash recovery produces such TIDs: the durable log may end partway through
+// a write-back batch, holding an index or chain-link page that names an
+// uncommitted version whose new heap block never became durable.
 func (r *Relation) fetch(tid TID, vis func([]byte, *buffer.Frame) bool) ([]byte, error) {
 	obsFetches.Inc()
 	f, err := r.pool.Buf.Get(buffer.Tag{SM: r.sm, Rel: r.name, Blk: tid.Blk})
 	if err != nil {
+		if n, nErr := r.NBlocks(); nErr == nil && tid.Blk >= n {
+			return nil, fmt.Errorf("%w: %s (relation has %d blocks)", ErrNoTuple, tid, n)
+		}
 		return nil, err
 	}
 	defer f.Release()

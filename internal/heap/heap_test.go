@@ -65,6 +65,31 @@ func TestInsertFetchCommit(t *testing.T) {
 	}
 }
 
+// TestFetchPastEndIsNoTuple: a TID in a block the relation does not have
+// (an index entry recovered without its heap block) reads as a vacant slot,
+// not as an I/O error.
+func TestFetchPastEndIsNoTuple(t *testing.T) {
+	p := newTestPool(t, 16)
+	r := mustCreate(t, p, "emp")
+	tx := p.Mgr.Begin()
+	defer tx.Abort()
+	tid, err := r.Insert(tx, []byte("joe"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := r.NBlocks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	past := TID{Blk: n, Slot: tid.Slot}
+	if _, err := r.FetchAny(past); !errors.Is(err, ErrNoTuple) {
+		t.Fatalf("FetchAny past the end: %v", err)
+	}
+	if _, err := r.Fetch(tx, past); !errors.Is(err, ErrNoTuple) {
+		t.Fatalf("Fetch past the end: %v", err)
+	}
+}
+
 func TestAbortHidesInsert(t *testing.T) {
 	p := newTestPool(t, 16)
 	r := mustCreate(t, p, "emp")

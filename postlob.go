@@ -40,7 +40,6 @@ import (
 	"postlob/internal/obs"
 	"postlob/internal/query"
 	"postlob/internal/repl"
-	"postlob/internal/server"
 	"postlob/internal/storage"
 	"postlob/internal/txn"
 	"postlob/internal/vclock"
@@ -515,26 +514,15 @@ func (db *DB) Inversion(opts FSOptions) (*FS, error) {
 	return fs, err
 }
 
-// Serve exposes the database to remote clients on l, accepting in a
-// background goroutine until the returned Server is closed (see
-// internal/client for the application library). Remote large-object reads
-// ship stored compressed extents and are decompressed client-side (§3's
-// just-in-time conversion).
-func (db *DB) Serve(l net.Listener) *server.Server {
-	srv := server.New(db.store)
-	if db.replica.Load() {
-		srv.SetReadOnly()
-	}
-	go srv.Serve(l)
-	return srv
-}
-
-// NewGateway builds the streaming network edge over this database: one
+// NewGateway builds the network edge over this database: one
 // chunk-granular core behind two protocol frontends. Gateway.ServeStream
-// speaks the pipelined v2 wire protocol (internal/client's DialStream);
-// Gateway.HTTPHandler serves the S3-style object API over the Inversion
-// file system. On a replica the gateway comes up read-only — GETs and
-// snapshot stream reads are served locally, mutations refused at the edge.
+// is the one way to serve remote clients: it speaks the pipelined v2 wire
+// protocol (internal/client's DialStream), where large-object reads ship
+// stored compressed extents and the client decompresses them (§3's
+// just-in-time conversion). Gateway.HTTPHandler serves the S3-style object
+// API over the Inversion file system. On a replica the gateway comes up
+// read-only — GETs and snapshot stream reads are served locally, mutations
+// refused at the edge.
 func (db *DB) NewGateway(opts GatewayOptions) *Gateway {
 	gw := gateway.New(db.store, opts)
 	if db.replica.Load() {

@@ -168,7 +168,7 @@ func TestReplicationLagConservation(t *testing.T) {
 }
 
 // TestReplicaReadOnly: the facade refuses local transactions (documented
-// panic) and the wire server refuses begin/exec/write while serving
+// panic) and the replica's gateway refuses begin/exec/write while serving
 // snapshot reads.
 func TestReplicaReadOnly(t *testing.T) {
 	pdb, rdb, _ := replPair(t, Options{}, Options{})
@@ -192,9 +192,10 @@ func TestReplicaReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := rdb.Serve(l)
-	defer srv.Close()
-	c, err := client.Dial(l.Addr().String())
+	gw := rdb.NewGateway(GatewayOptions{})
+	defer gw.Close()
+	go gw.ServeStream(l)
+	c, err := client.DialStream(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,6 +203,9 @@ func TestReplicaReadOnly(t *testing.T) {
 
 	if err := c.Begin(); err == nil || !strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("replica server Begin = %v, want read-only refusal", err)
+	}
+	if _, err := c.Exec(`retrieve (x = newfilename())`); err == nil || !strings.Contains(err.Error(), "read-only") {
+		t.Fatalf("replica server Exec = %v, want read-only refusal", err)
 	}
 	now, err := c.Now()
 	if err != nil {
@@ -215,10 +219,13 @@ func TestReplicaReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj.Close()
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("replica served %d bytes over the wire, want %d", len(got), len(payload))
 	}
+	if _, err := obj.Write([]byte("nope")); err == nil || !strings.Contains(err.Error(), "read-only") {
+		t.Fatalf("replica server Write = %v, want read-only refusal", err)
+	}
+	obj.Close()
 }
 
 // TestReplicaMonotonicReads pins a client to one replica across primary
@@ -236,8 +243,9 @@ func TestReplicaMonotonicReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := rdb.Serve(l)
-	defer srv.Close()
+	gw := rdb.NewGateway(GatewayOptions{})
+	defer gw.Close()
+	go gw.ServeStream(l)
 
 	var last TS
 	for round := 0; round < 6; round++ {
@@ -246,7 +254,7 @@ func TestReplicaMonotonicReads(t *testing.T) {
 
 		// A fresh connection each round models the same client reconnecting
 		// to its pinned replica.
-		c, err := client.Dial(l.Addr().String())
+		c, err := client.DialStream(l.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
