@@ -3,6 +3,8 @@
 # change lands:
 #
 #   1. go build ./...              the module compiles
+#   1b. gofmt -l .                 every Go file is gofmt-formatted; any
+#                                  file it lists fails the gate
 #   2. go vet ./...                the standard vet suite
 #   3. go run ./cmd/lobvet ./...   the postlob invariant analyzers
 #                                  (frame release, txn completion, storage
@@ -140,6 +142,14 @@ export CRASH
 
 echo "== go build ./..."
 go build ./...
+
+echo "== gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt would reformat:"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "== go vet ./..."
 lint_start=$(date +%s)

@@ -2,7 +2,9 @@
 // ahead of demand, and a sequential-scan prefetcher that fills read-ahead
 // windows with batched device reads. Both exist to keep stalls off the
 // foreground path — evict() should almost always find a clean victim, and a
-// sequential reader should find its next blocks already resident.
+// sequential reader should find its next blocks already resident. The
+// prefetcher's fill routine is also callable in the foreground: ReadAhead
+// runs it synchronously for a caller that knows which blocks it needs next.
 //
 // The engine is deliberately optional and restartable: the pool works
 // exactly as before when no engine is attached (do-I/O-in-the-caller), and a
@@ -42,6 +44,7 @@ var (
 	obsPfInstalled = obs.NewCounter("buffer.prefetch.installed")
 	obsPfSkipped   = obs.NewCounter("buffer.prefetch.skipped")
 	obsPfErrors    = obs.NewCounter("buffer.prefetch.errors")
+	obsPfStale     = obs.NewCounter("buffer.prefetch.stale")
 )
 
 // Engine tuning defaults.
@@ -176,7 +179,7 @@ func (e *engine) prefetchLoop() {
 		case <-e.stop:
 			return
 		case req := <-e.pf:
-			e.p.prefetchOne(req)
+			e.p.readAhead(req, e.cfg.PrefetchWindow)
 		}
 	}
 }
@@ -549,43 +552,71 @@ func (p *Pool) DrainPrefetch() {
 	for {
 		select {
 		case req := <-e.pf:
-			p.prefetchOne(req)
+			p.readAhead(req, e.cfg.PrefetchWindow)
 		default:
 			return
 		}
 	}
 }
 
-// prefetchOne fills one read-ahead window: clamp to the device's physical
-// length, skip resident blocks, and read each run of absent blocks with one
-// batched device read. Every failure path just drops the window — prefetch
-// is best-effort, and the foreground Get path has its own error handling.
-func (p *Pool) prefetchOne(req prefetchReq) {
-	mgr, err := p.sw.Get(req.sm)
-	if err != nil {
-		return
+// ReadAhead makes the blocks [blk, blk+n) resident before the caller Gets
+// them, in the caller's goroutine: the synchronous counterpart of Prefetch,
+// running the fill routine the background prefetcher runs. Each run of
+// absent blocks, at most one prefetch window long, costs one batched device
+// read instead of one miss per block; a fully resident range costs no
+// device call at all. Advisory like Prefetch: it works with or without an
+// engine, and on any failure it leaves the blocks to the caller's own Get.
+// Like Get, it must not be called holding a content latch.
+func (p *Pool) ReadAhead(sm storage.ID, rel storage.RelName, blk storage.BlockNum, n int) {
+	window := DefaultPrefetchWindow
+	if e := p.eng.Load(); e != nil {
+		window = e.cfg.PrefetchWindow
 	}
-	if !mgr.Exists(req.rel) {
-		return // dropped while queued
+	p.readAhead(prefetchReq{sm: sm, rel: rel, blk: blk, n: n}, window)
+}
+
+// readAhead fills one read-ahead range: skip resident blocks, and read each
+// run of absent blocks, at most window long, with one batched device read.
+// Residency is checked first; the device is asked whether the relation
+// exists, and how long it is, only once an absent block turns up. The range
+// is clamped to half the pool, so one fill never evicts its own earlier
+// blocks and a pool smaller than the range leaves the rest to Get. Every
+// failure path just drops the rest of the range — read-ahead is
+// best-effort, and the foreground Get path has its own error handling.
+func (p *Pool) readAhead(req prefetchReq, window int) {
+	if half := p.cap / 2; req.n > half {
+		req.n = half
 	}
-	phys, err := mgr.NBlocks(req.rel)
-	if err != nil {
+	if req.n <= 0 {
 		return
 	}
 	end := req.blk + storage.BlockNum(req.n)
-	if end > phys {
-		// Blocks past the physical end live only as dirty frames, which are
-		// by definition resident already.
-		end = phys
-	}
+	var mgr storage.Manager
 	for start := req.blk; start < end; {
 		if p.resident(Tag{SM: req.sm, Rel: req.rel, Blk: start}) {
 			obsPfSkipped.Inc()
 			start++
 			continue
 		}
+		if mgr == nil {
+			m, err := p.sw.Get(req.sm)
+			if err != nil || !m.Exists(req.rel) {
+				return // dropped while queued
+			}
+			phys, err := m.NBlocks(req.rel)
+			if err != nil {
+				return
+			}
+			if end > phys {
+				// Blocks past the physical end live only as dirty frames,
+				// which are by definition resident already.
+				end = phys
+			}
+			mgr = m
+			continue
+		}
 		stop := start + 1
-		for stop < end && !p.resident(Tag{SM: req.sm, Rel: req.rel, Blk: stop}) {
+		for stop < end && int(stop-start) < window && !p.resident(Tag{SM: req.sm, Rel: req.rel, Blk: stop}) {
 			stop++
 		}
 		p.prefetchRun(mgr, req.sm, req.rel, start, int(stop-start))
@@ -623,6 +654,7 @@ func (p *Pool) prefetchRun(mgr storage.Manager, sm storage.ID, rel storage.RelNa
 	for i, f := range frames {
 		bufs[i] = f.data
 	}
+	seq := p.wbSeqOf(relKey{sm, rel})
 	if err := mgr.ReadBlocks(rel, blk, bufs); err != nil {
 		obsPfErrors.Inc()
 		for _, f := range frames {
@@ -643,7 +675,7 @@ func (p *Pool) prefetchRun(mgr storage.Manager, sm storage.ID, rel storage.RelNa
 				continue
 			}
 		}
-		p.installPrefetched(Tag{SM: sm, Rel: rel, Blk: blk + storage.BlockNum(i)}, f)
+		p.installPrefetched(Tag{SM: sm, Rel: rel, Blk: blk + storage.BlockNum(i)}, f, seq)
 	}
 }
 
@@ -693,10 +725,14 @@ func (p *Pool) evictCleanOnly() *Frame {
 // its LRU list. The nbMu hold serialises against DropRel: a relation dropped
 // while the read was in flight must not reappear as a ghost page, so the
 // install happens only while the pool still tracks the relation. A lost race
-// against a foreground install discards the duplicate.
-func (p *Pool) installPrefetched(tag Tag, f *Frame) {
+// against a foreground install discards the duplicate, and so does a
+// write-back of the relation that retired after the read began (seq is the
+// wbSeqOf value noted before the device read): the page may be older than
+// the device's, and a foreground Get will read it afresh.
+func (p *Pool) installPrefetched(tag Tag, f *Frame, seq uint64) {
+	key := relKey{tag.SM, tag.Rel}
 	p.nbMu.Lock()
-	if _, ok := p.nblocks[relKey{tag.SM, tag.Rel}]; !ok {
+	if _, ok := p.nblocks[key]; !ok {
 		p.nbMu.Unlock()
 		p.putFree(f)
 		return
@@ -707,6 +743,13 @@ func (p *Pool) installPrefetched(tag Tag, f *Frame) {
 		part.mu.Unlock()
 		p.nbMu.Unlock()
 		obsPfSkipped.Inc()
+		p.putFree(f)
+		return
+	}
+	if p.wbSeqOf(key) != seq {
+		part.mu.Unlock()
+		p.nbMu.Unlock()
+		obsPfStale.Inc()
 		p.putFree(f)
 		return
 	}

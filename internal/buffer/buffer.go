@@ -253,9 +253,17 @@ type Pool struct {
 	// that syncs the relation must first drain it (wbWaitRel), or it could
 	// durably advance the redo point past an image that never reached the
 	// synced medium, and a crash would lose the page with nothing to replay.
+	//
+	// wbSeq counts each relation's retired write-backs. A miss path reads
+	// the device with no pool lock held, so a write-back of the same block
+	// can land, and its frame be evicted, while the read is in flight; the
+	// older image must then not be installed. The reader notes wbSeq before
+	// its device read and compares it again under the partition lock at
+	// install time (see wbSeqOf).
 	wbMu       sync.Mutex
-	wbCond     *sync.Cond     // signalled as in-flight write-backs retire
-	wbInFlight map[relKey]int // guarded by wbMu
+	wbCond     *sync.Cond        // signalled as in-flight write-backs retire
+	wbInFlight map[relKey]int    // guarded by wbMu
+	wbSeq      map[relKey]uint64 // guarded by wbMu
 }
 
 // NewPool creates a pool of nframes pages over the given switch. clock may
@@ -280,6 +288,7 @@ func NewPool(nframes int, sw *storage.Switch, clock *vclock.Clock) *Pool {
 		checksums: make(map[relKey]Checksummer),
 
 		wbInFlight: make(map[relKey]int),
+		wbSeq:      make(map[relKey]uint64),
 	}
 	p.wbCond = sync.NewCond(&p.wbMu)
 	for i := range p.parts {
@@ -296,14 +305,32 @@ func (p *Pool) wbBegin(key relKey) {
 	p.wbMu.Unlock()
 }
 
-// wbEnd retires a write-back begun with wbBegin and wakes drain waiters.
+// wbEnd retires a write-back begun with wbBegin, advances the relation's
+// write-back sequence and wakes drain waiters.
 func (p *Pool) wbEnd(key relKey) {
 	p.wbMu.Lock()
 	if p.wbInFlight[key]--; p.wbInFlight[key] <= 0 {
 		delete(p.wbInFlight, key)
 	}
+	p.wbSeq[key]++
 	p.wbCond.Broadcast()
 	p.wbMu.Unlock()
+}
+
+// wbSeqOf returns how many write-backs of rel's pages have retired. A miss
+// path reads it before its device read and again, under the block's
+// partition lock, just before installing the page; if it moved, the device
+// image may have changed under the read, and the page is discarded.
+//
+// Why a retired count suffices: a block's device image changes only inside
+// a write-back of its frame, and that frame stays resident (pinned) until
+// the write-back retires. If the block is absent at install time and the
+// count has not moved, every write-back of the block either retired before
+// the read began (the read saw its image) or has not happened at all.
+func (p *Pool) wbSeqOf(key relKey) uint64 {
+	p.wbMu.Lock()
+	defer p.wbMu.Unlock()
+	return p.wbSeq[key]
 }
 
 // wbWaitRel blocks until no write-back of rel's pages is in flight. A
@@ -403,7 +430,8 @@ func (p *Pool) nblocksLocked(sm storage.ID, rel storage.RelName) (storage.BlockN
 // Get pins the frame holding the page identified by tag, reading it from the
 // storage manager on a miss. The device read happens with no pool lock held,
 // so concurrent misses overlap their I/O; when two goroutines race to load
-// the same page, one install wins and the other read is discarded.
+// the same page, one install wins and the other read is discarded. A read
+// that a write-back of the relation overtook is re-read (see wbSeqOf).
 func (p *Pool) Get(tag Tag) (*Frame, error) {
 	obsLookups.Inc()
 	part := p.part(tag)
@@ -418,7 +446,8 @@ func (p *Pool) Get(tag Tag) (*Frame, error) {
 	part.misses++
 	part.mu.Unlock()
 	obsMisses.Inc()
-	for attempt := 0; ; attempt++ {
+	key := relKey{tag.SM, tag.Rel}
+	for attempt := 0; ; {
 		n, err := p.NBlocks(tag.SM, tag.Rel)
 		if err != nil {
 			return nil, err
@@ -435,6 +464,7 @@ func (p *Pool) Get(tag Tag) (*Frame, error) {
 			p.putFree(f)
 			return nil, err
 		}
+		seq := p.wbSeqOf(key)
 		sw := obsReadLat.Start()
 		readErr := mgr.ReadBlock(tag.Rel, tag.Blk, f.data)
 		sw.Stop()
@@ -455,14 +485,25 @@ func (p *Pool) Get(tag Tag) (*Frame, error) {
 			p.putFree(f)
 			return g, nil
 		}
+		if p.wbSeqOf(key) != seq {
+			// A write-back of this relation retired while the read was in
+			// flight and the block is not resident: the write-back may have
+			// been this block's, its frame since evicted, and the bytes read
+			// older than the device's. Read again; this is not a failed
+			// attempt.
+			part.mu.Unlock()
+			p.putFree(f)
+			continue
+		}
 		if readErr != nil {
 			part.mu.Unlock()
 			p.putFree(f)
+			attempt++
 			// A checksum mismatch can be a transient torn read racing an
 			// eviction's in-flight device write; once that write completes
 			// a re-read sees the full image. Only a mismatch that persists
 			// is real on-device corruption.
-			if errors.Is(readErr, page.ErrChecksum) && attempt < 4 {
+			if errors.Is(readErr, page.ErrChecksum) && attempt <= 4 {
 				time.Sleep(20 * time.Microsecond)
 				continue
 			}
@@ -472,7 +513,7 @@ func (p *Pool) Get(tag Tag) (*Frame, error) {
 			// when the device genuinely lacks the block — if the device
 			// claims it exists, the failure is a real I/O error and must
 			// surface to the caller.
-			if devN, nErr := mgr.NBlocks(tag.Rel); attempt == 0 && nErr == nil && tag.Blk >= devN {
+			if devN, nErr := mgr.NBlocks(tag.Rel); attempt == 1 && nErr == nil && tag.Blk >= devN {
 				continue
 			}
 			return nil, readErr
@@ -1240,6 +1281,9 @@ func (p *Pool) dropRelOnce(sm storage.ID, rel storage.RelName, discard bool) (re
 	p.extMu.Lock()
 	delete(p.ext, relKey{sm, rel})
 	p.extMu.Unlock()
+	p.wbMu.Lock()
+	delete(p.wbSeq, relKey{sm, rel})
+	p.wbMu.Unlock()
 	unlock()
 	return false, nil
 }

@@ -546,9 +546,12 @@ func (o *StreamObject) ReadTo(w io.Writer, off, n int64) (int64, error) {
 	served := r.N
 	base := off
 	var cursor int64 // logical bytes flushed to w
-	zeros := make([]byte, 32<<10)
+	var zeros []byte // allocated by the first sparse gap; most reads have none
 	writeZeros := func(upTo int64) error {
 		for cursor < upTo {
+			if zeros == nil {
+				zeros = make([]byte, 32<<10)
+			}
 			nz := upTo - cursor
 			if nz > int64(len(zeros)) {
 				nz = int64(len(zeros))

@@ -182,6 +182,12 @@ func (o *fchunkObject) lookupVisible(key uint64) ([]byte, heap.TID, error) {
 	if err != nil {
 		return nil, heap.InvalidTID, err
 	}
+	return o.visibleAmong(key, vals)
+}
+
+// visibleAmong is lookupVisible over key's index entries vals, already
+// looked up, in the index's ascending order.
+func (o *fchunkObject) visibleAmong(key uint64, vals []uint64) ([]byte, heap.TID, error) {
 	// Newest entries are most likely visible; scan from the end.
 	for i := len(vals) - 1; i >= 0; i-- {
 		tid := heap.DecodeTID(vals[i])

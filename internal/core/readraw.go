@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"postlob/internal/adt"
 	"postlob/internal/catalog"
 	"postlob/internal/heap"
+	"postlob/internal/storage"
 	"postlob/internal/txn"
 )
 
@@ -80,12 +82,32 @@ func (s *Store) readRawFChunk(tx *txn.Txn, snap txn.Snapshot, ref adt.ObjectRef,
 		return nil, nil
 	}
 	cs := fo.chunkSize()
+	// One index scan resolves every chunk of the range, instead of one
+	// descent per chunk.
+	var keys, vals []uint64
+	err = fo.idx.Range(uint64(off/cs), uint64((end-1)/cs), func(k, v uint64) (bool, error) {
+		keys = append(keys, k)
+		vals = append(vals, v)
+		return true, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	fo.readAheadNewest(keys, vals)
+	// Each chunk's entries are adjacent; the visibility rule is
+	// lookupVisible's.
 	var out []RawExtent
-	for seq := off / cs; seq*cs < end; seq++ {
-		payload, _, err := fo.lookupVisible(uint64(seq))
+	for i := 0; i < len(keys); {
+		j := i + 1
+		for j < len(keys) && keys[j] == keys[i] {
+			j++
+		}
+		payload, _, err := fo.visibleAmong(keys[i], vals[i:j])
 		if err != nil {
 			return nil, err
 		}
+		seq := int64(keys[i])
+		i = j
 		if payload == nil {
 			continue // sparse chunk: zeros
 		}
@@ -105,10 +127,37 @@ func (s *Store) readRawFChunk(tx *txn.Txn, snap txn.Snapshot, ref adt.ObjectRef,
 			LogStart: lo,
 			Skip:     int(lo - chunkStart),
 			Take:     int(hi - lo),
-			Encoded:  append([]byte(nil), payload[chunkHdr:]...),
+			// The fetch already copied the payload out of the page.
+			Encoded: payload[chunkHdr:],
 		})
 	}
 	return out, nil
+}
+
+// readAheadNewest reads ahead the heap block of each chunk's newest index
+// entry — the version visibleAmong tries first — with one batched device
+// read per run of adjacent blocks. keys and vals are an index scan's
+// entries in ascending order. Older entries are left to on-demand fetches:
+// a history-keeping vacuum leaves every superseded version indexed, and
+// reading those ahead would fill the pool with pages current readers
+// rarely touch.
+func (o *fchunkObject) readAheadNewest(keys, vals []uint64) {
+	blks := make([]storage.BlockNum, 0, len(keys))
+	for i := range keys {
+		if i+1 < len(keys) && keys[i+1] == keys[i] {
+			continue // not the newest entry of its chunk
+		}
+		blks = append(blks, heap.DecodeTID(vals[i]).Blk)
+	}
+	slices.Sort(blks)
+	for i := 0; i < len(blks); {
+		j := i + 1
+		for j < len(blks) && blks[j] <= blks[j-1]+1 {
+			j++
+		}
+		o.rel.ReadAhead(blks[i], int(blks[j-1]-blks[i])+1)
+		i = j
+	}
 }
 
 func (s *Store) readRawVSegment(tx *txn.Txn, snap txn.Snapshot, ref adt.ObjectRef, meta *catalog.LargeObjectMeta, off, n int64) ([]RawExtent, error) {

@@ -27,9 +27,9 @@ type Options struct {
 	// DefaultWindow, capped at MaxWindow).
 	Window int
 	// Depth is how many chunks a streaming read fetches concurrently
-	// ahead of the network (default 4). Raw reads bypass the buffer
-	// pool's sequential prefetcher, so this is what keeps the device busy
-	// while earlier chunks cross the wire.
+	// ahead of the network (default 4). Each raw f-chunk fetch reads its
+	// own blocks ahead in batched device reads; depth overlaps those
+	// fetches with one another and with the wire.
 	Depth int
 	// FS configures the Inversion file system backing the HTTP frontend
 	// (bucket/key ↔ directory/file). Ignored by the stream protocol.
@@ -205,10 +205,10 @@ type readRawFn func(off, n int64) ([]core.RawExtent, error)
 // emit error stops the pump; already-fetched pieces are drained and
 // released before it returns, so the chunk accounting always balances.
 //
-// Raw extent reads do not advance the buffer pool's sequential-scan
-// prefetch frontier, so this overlap is the only thing keeping the device
-// busy while earlier chunks cross the wire — per-stream read-ahead is what
-// turns a latency-bound edge read into a bandwidth-bound one.
+// A raw f-chunk fetch reads its chunk's blocks ahead itself, one batched
+// device read per block run (core.readRawFChunk); the pump overlaps up to
+// depth such fetches with the wire, so the device stays busy while earlier
+// chunks cross it.
 func (g *Gateway) pumpChunks(chunkSize int, off, end int64, fetch func(off, n int64) (*chunkPiece, error),
 	emit func(p *chunkPiece, last bool) error) error {
 	if off >= end {

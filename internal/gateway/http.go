@@ -129,8 +129,13 @@ func failFS(w http.ResponseWriter, err error) {
 }
 
 // resolveAsOf picks the snapshot timestamp for a read: the client's as-of
-// if given, else the latest commit.
-func (g *Gateway) resolveAsOf(r *http.Request) (txn.TS, bool, error) {
+// if given, else the latest commit. A read at the latest commit is leased
+// (txn.Manager.LeaseNow): vacuum keeps every version it can see until the
+// caller runs release, once the response has ended, so a GET racing an
+// overwrite under a history-reclaiming vacuum still finds its version. An
+// explicit as-of read is not leased: time travel below the horizon is
+// reclaimed by design.
+func (g *Gateway) resolveAsOf(r *http.Request) (ts txn.TS, release func(), err error) {
 	raw := r.URL.Query().Get("asOf")
 	if raw == "" {
 		raw = r.Header.Get("X-As-Of")
@@ -139,14 +144,15 @@ func (g *Gateway) resolveAsOf(r *http.Request) (txn.TS, bool, error) {
 		raw = r.Header.Get("If-Unmodified-Since")
 	}
 	if raw == "" {
-		return g.store.Pool().Mgr.Now(), false, nil
+		ts, lease := g.store.Pool().Mgr.LeaseNow()
+		return ts, lease.Release, nil
 	}
 	n, err := strconv.ParseUint(strings.TrimSpace(raw), 10, 64)
 	if err != nil {
-		return txn.InvalidTS, false, fmt.Errorf("bad as-of timestamp %q", raw)
+		return txn.InvalidTS, nil, fmt.Errorf("bad as-of timestamp %q", raw)
 	}
 	obsHTTPAsOf.Inc()
-	return txn.TS(n), true, nil
+	return txn.TS(n), func() {}, nil
 }
 
 // parseRange parses a single-range `Range: bytes=a-b` header against size.
@@ -208,11 +214,12 @@ func (g *Gateway) httpGet(w http.ResponseWriter, r *http.Request, path string, w
 		failFS(w, err)
 		return
 	}
-	ts, _, err := g.resolveAsOf(r)
+	ts, release, err := g.resolveAsOf(r)
 	if err != nil {
 		httpFail(w, http.StatusBadRequest, err)
 		return
 	}
+	defer release()
 	info, err := fs.StatAsOf(ts, path)
 	if err != nil {
 		failFS(w, err)
@@ -372,11 +379,12 @@ func (g *Gateway) httpStat(w http.ResponseWriter, r *http.Request, path string) 
 		failFS(w, err)
 		return
 	}
-	ts, _, err := g.resolveAsOf(r)
+	ts, release, err := g.resolveAsOf(r)
 	if err != nil {
 		httpFail(w, http.StatusBadRequest, err)
 		return
 	}
+	defer release()
 	info, err := fs.StatAsOf(ts, path)
 	if err != nil {
 		failFS(w, err)

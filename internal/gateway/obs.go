@@ -17,12 +17,12 @@ import "postlob/internal/obs"
 //     high-water mark. Streaming a 64 MB object must leave the HWM at
 //     O(depth × chunk) per connection, never O(object).
 var (
-	obsStreamConns    = obs.NewGauge("gateway.stream.connections")
-	obsStreamReqs     = obs.NewCounter("gateway.stream.requests")
-	obsStreamUnknown  = obs.NewCounter("gateway.stream.unknown_op")
-	obsStreamErrors   = obs.NewCounter("gateway.stream.frame_errors")
-	obsStreamBytesOut = obs.NewCounter("gateway.stream.bytes_out")
-	obsStreamBytesIn  = obs.NewCounter("gateway.stream.bytes_in")
+	obsStreamConns     = obs.NewGauge("gateway.stream.connections")
+	obsStreamReqs      = obs.NewCounter("gateway.stream.requests")
+	obsStreamUnknown   = obs.NewCounter("gateway.stream.unknown_op")
+	obsStreamErrors    = obs.NewCounter("gateway.stream.frame_errors")
+	obsStreamBytesOut  = obs.NewCounter("gateway.stream.bytes_out")
+	obsStreamBytesIn   = obs.NewCounter("gateway.stream.bytes_in")
 	obsStreamChunksOut = obs.NewCounter("gateway.stream.chunks_out")
 	obsStreamChunksIn  = obs.NewCounter("gateway.stream.chunks_in")
 

@@ -804,44 +804,42 @@ func (c *gwConn) streamOut(j streamJob, stream uint32) {
 }
 
 // emitExtentPiece ships one raw chunk's extents, packing whole extents
-// into frames up to MaxChunk. A fully sparse chunk ships nothing — the
-// client zero-fills from the announced range — but its logical bytes
-// still count as served.
+// into frames up to MaxChunk. Each frame's size is known before it is
+// built, so its payload is allocated once, at that size. A fully sparse
+// chunk ships nothing — the client zero-fills from the announced range —
+// but its logical bytes still count as served.
 func emitExtentPiece(g *Gateway, p *chunkPiece, emitFrame func([]byte, func()) error) error {
-	var frames [][]byte
-	var payload []byte
-	for i := range p.extents {
-		e := &p.extents[i]
-		if len(payload) > 0 && len(payload)+extentWireLen(e) > MaxChunk {
-			frames = append(frames, payload)
-			payload = nil
-		}
-		payload = appendExtent(payload, e)
-	}
-	if len(payload) > 0 {
-		frames = append(frames, payload)
-	}
 	n := p.n
-	if len(frames) == 0 {
+	if len(p.extents) == 0 {
 		p.release(g)
 		obsStreamBytesOut.Add(n)
 		return nil
 	}
-	for i, fp := range frames {
+	for i := 0; i < len(p.extents); {
+		j, size := i+1, extentWireLen(&p.extents[i])
+		for j < len(p.extents) && size+extentWireLen(&p.extents[j]) <= MaxChunk {
+			size += extentWireLen(&p.extents[j])
+			j++
+		}
+		payload := make([]byte, 0, size)
+		for k := i; k < j; k++ {
+			payload = appendExtent(payload, &p.extents[k])
+		}
 		var rel func()
-		if i == len(frames)-1 {
+		if j == len(p.extents) {
 			rel = func() {
 				p.release(g)
 				obsStreamBytesOut.Add(n)
 			}
 		}
-		if err := emitFrame(fp, rel); err != nil {
+		if err := emitFrame(payload, rel); err != nil {
 			if rel == nil {
 				// The tail frame carrying the release never shipped.
 				p.release(g)
 			}
 			return err
 		}
+		i = j
 	}
 	return nil
 }

@@ -195,6 +195,13 @@ func (r *Relation) Prefetch(blk storage.BlockNum, n int) {
 	r.pool.Buf.Prefetch(r.sm, r.name, blk, n)
 }
 
+// ReadAhead makes blocks [blk, blk+n) resident before the caller fetches
+// from them, reading each run of absent blocks with one batched device
+// read in the caller's goroutine (see buffer.Pool.ReadAhead).
+func (r *Relation) ReadAhead(blk storage.BlockNum, n int) {
+	r.pool.Buf.ReadAhead(r.sm, r.name, blk, n)
+}
+
 // Size returns the relation's footprint in bytes.
 func (r *Relation) Size() (int64, error) {
 	n, err := r.NBlocks()

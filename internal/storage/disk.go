@@ -156,9 +156,9 @@ func (d *DiskManager) ReadBlock(rel RelName, blk BlockNum, buf []byte) error {
 }
 
 // ReadBlocks implements Manager with one coalesced positional read: the
-// blocks are adjacent in the relation file, so a single ReadAt over a
-// staging buffer replaces len(bufs) system calls, then the pages scatter
-// out to the callers' buffers.
+// blocks are adjacent in the relation file, so a single vectored read
+// (readAtv) lands them straight in the callers' buffers, replacing
+// len(bufs) system calls with one.
 func (d *DiskManager) ReadBlocks(rel RelName, blk BlockNum, bufs [][]byte) error {
 	if len(bufs) == 0 {
 		return nil
@@ -177,17 +177,14 @@ func (d *DiskManager) ReadBlocks(rel RelName, blk BlockNum, bufs [][]byte) error
 	if err != nil {
 		return err
 	}
-	stage := make([]byte, len(bufs)*page.Size)
-	n, err := f.ReadAt(stage, int64(blk)*page.Size)
-	if err != nil && err != io.EOF {
+	want := len(bufs) * page.Size
+	n, err := readAtv(f, bufs, int64(blk)*page.Size)
+	if err != nil {
 		return fmt.Errorf("disk: read %s blocks %d..%d: %w", rel, blk, int(blk)+len(bufs)-1, err)
 	}
-	if n != len(stage) {
+	if n != want {
 		return fmt.Errorf("%w: %s block %d (short batch read %d of %d bytes)",
-			ErrBadBlock, rel, blk+BlockNum(n/page.Size), n, len(stage))
-	}
-	for i, buf := range bufs {
-		copy(buf, stage[i*page.Size:(i+1)*page.Size])
+			ErrBadBlock, rel, blk+BlockNum(n/page.Size), n, want)
 	}
 	if !d.model.IsZero() {
 		for i := range bufs {

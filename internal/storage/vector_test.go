@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -151,7 +152,7 @@ func TestVectoredLatencySingleSleep(t *testing.T) {
 }
 
 // TestDiskVectoredMatchesScalar does a byte-level cross-check on the disk
-// manager, whose batch path stages through one positional I/O.
+// manager, whose batch paths each make one positional I/O.
 func TestDiskVectoredMatchesScalar(t *testing.T) {
 	d, err := NewDiskManager(t.TempDir(), DeviceModel{}, nil)
 	if err != nil {
@@ -172,6 +173,42 @@ func TestDiskVectoredMatchesScalar(t *testing.T) {
 		}
 		if !bytes.Equal(buf, block('0'+byte(i))) {
 			t.Fatalf("scalar read of batch-written block %d mismatch", i)
+		}
+	}
+}
+
+// TestDiskVectoredReadAllocatesNoStaging checks that a batched disk read
+// lands in the callers' buffers directly: a 16-block ReadBlocks allocates
+// far less than one page, where a staging buffer would cost 16 pages.
+func TestDiskVectoredReadAllocatesNoStaging(t *testing.T) {
+	d, err := NewDiskManager(t.TempDir(), DeviceModel{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const rel = RelName("vec")
+	if err := d.Create(rel); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteBlocks(rel, 0, pages(16, 'a')); err != nil {
+		t.Fatal(err)
+	}
+	bufs := pages(16, 0)
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := d.ReadBlocks(rel, 0, bufs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= page.Size {
+		t.Fatalf("16-block ReadBlocks allocated %d bytes per call, want < %d", per, page.Size)
+	}
+	for i, buf := range bufs {
+		if !bytes.Equal(buf, block('a'+byte(i))) {
+			t.Fatalf("block %d mismatch after batch read", i)
 		}
 	}
 }

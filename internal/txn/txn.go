@@ -245,12 +245,14 @@ func (t *statusTable) setLocked(x XID, word uint64) {
 // lock exclusive.
 type Manager struct {
 	mu       sync.RWMutex
-	nextXID  XID           // guarded by mu
-	active   map[XID]bool  // guarded by mu
-	snapXmin map[XID]XID   // guarded by mu; each live txn's snapshot horizon
-	logPath  string        // guarded by mu; "" disables durable XID reservation
-	xidBound XID           // guarded by mu; XIDs below this are durably reserved
-	dlog     DurabilityLog // guarded by mu; nil outside WAL mode
+	nextXID  XID            // guarded by mu
+	active   map[XID]bool   // guarded by mu
+	snapXmin map[XID]XID    // guarded by mu; each live txn's snapshot horizon
+	logPath  string         // guarded by mu; "" disables durable XID reservation
+	xidBound XID            // guarded by mu; XIDs below this are durably reserved
+	dlog     DurabilityLog  // guarded by mu; nil outside WAL mode
+	leases   map[uint64]XID // guarded by mu; each live ReadLease's horizon
+	leaseSeq uint64         // guarded by mu; the last ReadLease id issued
 
 	// nextTS is the next commit timestamp. Written only under mu; read
 	// atomically by Now with no lock.
@@ -272,6 +274,7 @@ func NewManager() *Manager {
 		nextXID:  firstUserXID,
 		active:   make(map[XID]bool),
 		snapXmin: make(map[XID]XID),
+		leases:   make(map[uint64]XID),
 	}
 	m.nextTS.Store(1)
 	return m
@@ -352,10 +355,11 @@ func (m *Manager) Begin() *Txn {
 }
 
 // GlobalXmin returns the oldest XID any live snapshot might still need to
-// resolve: the minimum of every active transaction's snapshot horizon, or
-// the next XID to be issued when nothing is running. A dead tuple version
-// whose deleter committed below this horizon is invisible to every current
-// and future snapshot, so vacuum may reclaim it.
+// resolve: the minimum of every active transaction's snapshot horizon and
+// every live ReadLease's, or the next XID to be issued when there are
+// none. A dead tuple version whose deleter committed below this horizon is
+// invisible to every current and future snapshot, so vacuum may reclaim
+// it.
 func (m *Manager) GlobalXmin() XID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -365,7 +369,52 @@ func (m *Manager) GlobalXmin() XID {
 			h = x
 		}
 	}
+	for _, x := range m.leases {
+		if x < h {
+			h = x
+		}
+	}
 	return h
+}
+
+// A ReadLease holds the vacuum horizon for a reader that reads as of a
+// commit timestamp without a transaction (a snapshot read at the latest
+// commit). Release it when the read ends.
+type ReadLease struct {
+	m  *Manager
+	id uint64
+}
+
+// LeaseNow returns the latest commit timestamp, as Now does, with a lease
+// that keeps GlobalXmin at or below the oldest XID active at that instant
+// (or the next XID, when none was). Every version a read as of the
+// returned timestamp can see therefore stays unreclaimed until the lease
+// is released: its deleter, if any, had not committed at that timestamp,
+// so it was active then or had not begun. The timestamp and the horizon
+// come from one critical section, so no commit falls between them.
+func (m *Manager) LeaseNow() (TS, ReadLease) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	h := m.nextXID
+	for x := range m.active {
+		if x < h {
+			h = x
+		}
+	}
+	m.leaseSeq++
+	m.leases[m.leaseSeq] = h
+	return TS(m.nextTS.Load() - 1), ReadLease{m: m, id: m.leaseSeq}
+}
+
+// Release ends the lease. Releasing twice, or the zero ReadLease, is a
+// no-op.
+func (l ReadLease) Release() {
+	if l.m == nil {
+		return
+	}
+	l.m.mu.Lock()
+	delete(l.m.leases, l.id)
+	l.m.mu.Unlock()
 }
 
 // Counters returns the next XID to be issued and the timestamp of the most

@@ -257,6 +257,41 @@ func TestGlobalXminTracksOldestSnapshot(t *testing.T) {
 	}
 }
 
+func TestReadLeaseHoldsGlobalXmin(t *testing.T) {
+	m := NewManager()
+	w := m.Begin() // in progress when the lease is taken
+	ts, lease := m.LeaseNow()
+	if ts != m.Now() {
+		t.Fatalf("LeaseNow timestamp = %d, want Now %d", ts, m.Now())
+	}
+	if _, err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// w committed after the lease's timestamp, so a version w deleted is
+	// still visible to the leased reader: the horizon must stay at w.
+	if got := m.GlobalXmin(); got != w.ID() {
+		t.Fatalf("GlobalXmin under lease = %d, want %d", got, w.ID())
+	}
+	lease.Release()
+	lease.Release() // idempotent
+	next, _ := m.Counters()
+	if got := m.GlobalXmin(); got != next {
+		t.Fatalf("GlobalXmin after release = %d, want nextXID %d", got, next)
+	}
+	// With nothing active the lease holds the next XID: transactions that
+	// begin later cannot have committed by its timestamp.
+	_, idle := m.LeaseNow()
+	later := m.Begin()
+	if _, err := later.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.GlobalXmin(); got != next {
+		t.Fatalf("GlobalXmin under idle lease = %d, want %d", got, next)
+	}
+	idle.Release()
+	ReadLease{}.Release() // the zero lease is a no-op
+}
+
 func TestSnapshotXmin(t *testing.T) {
 	m := NewManager()
 	a := m.Begin()
